@@ -304,7 +304,7 @@ fn run_campaign(
         .expect("create session");
     let warm_source = st.warm_source.clone();
     let handle = mgr.get(st.session).expect("session");
-    let mut session = handle.lock();
+    let mut session = handle.lock().expect("session lock");
     while st.state != "done" {
         st = session.advance(4, cache, &metrics).expect("advance");
     }

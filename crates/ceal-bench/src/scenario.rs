@@ -8,11 +8,10 @@
 
 use ceal_core::{ComponentHistory, Oracle, PoolOracle, SimOracle};
 use ceal_sim::{Objective, Simulator};
-use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Pool size (paper §5: p ≈ 2000 for top-0.2 % coverage at 98.2 %).
 pub fn pool_size() -> usize {
@@ -99,17 +98,23 @@ impl Scenario {
 
 type ScenKey = (String, &'static str);
 
+/// A cache lock that survives a panicked builder: the map is only ever
+/// touched by whole-entry inserts.
+fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Returns (building on first use) the cached scenario.
 pub fn scenario(workflow: &str, objective: Objective) -> Arc<Scenario> {
     static CACHE: OnceLock<Mutex<HashMap<ScenKey, Arc<Scenario>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = (workflow.to_ascii_uppercase(), objective.label());
-    if let Some(s) = cache.lock().get(&key) {
+    if let Some(s) = lock(cache).get(&key) {
         return Arc::clone(s);
     }
     // Build outside the lock: other scenarios may build concurrently.
     let built = Scenario::build(&key.0, objective);
-    cache.lock().entry(key).or_insert(built).clone()
+    lock(cache).entry(key).or_insert(built).clone()
 }
 
 /// Returns (building on first use) the cached 500-sample component history
@@ -118,7 +123,7 @@ pub fn history(workflow: &str, objective: Objective) -> Arc<ComponentHistory> {
     static CACHE: OnceLock<Mutex<HashMap<ScenKey, Arc<ComponentHistory>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = (workflow.to_ascii_uppercase(), objective.label());
-    if let Some(h) = cache.lock().get(&key) {
+    if let Some(h) = lock(cache).get(&key) {
         return Arc::clone(h);
     }
     let scen = scenario(workflow, objective);
@@ -128,7 +133,7 @@ pub fn history(workflow: &str, objective: Objective) -> Arc<ComponentHistory> {
         history_size(),
         &mut rng,
     ));
-    cache.lock().entry(key).or_insert(built).clone()
+    lock(cache).entry(key).or_insert(built).clone()
 }
 
 #[cfg(test)]

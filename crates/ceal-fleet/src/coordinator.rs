@@ -13,8 +13,8 @@
 use crate::types::{FleetReport, TaskId, TaskOutcome, TaskReport, TaskSpec, WorkerId, WorkerStats};
 use ceal_core::RetryPolicy;
 use ceal_trace::{TraceContext, Tracer};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the fleet.
@@ -180,6 +180,13 @@ impl Coordinator {
         }
     }
 
+    /// The state lock. A panic under it (trace sink, allocation) leaves
+    /// the maps structurally sound, so poisoning is ignored rather than
+    /// turning one contained panic into a dead fleet.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.cfg
@@ -188,7 +195,7 @@ impl Coordinator {
     /// Registers a worker; returns its id and the heartbeat lease in
     /// milliseconds (the worker must poll well within it).
     pub fn register(&self, name: &str) -> (WorkerId, u64) {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let id = s.next_worker;
         s.next_worker += 1;
         s.workers.insert(
@@ -212,7 +219,7 @@ impl Coordinator {
         worker: WorkerId,
         reports: Vec<TaskReport>,
     ) -> Result<Vec<TaskSpec>, FleetError> {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         self.reap_dead(&mut s);
         let now = Instant::now();
         {
@@ -328,7 +335,7 @@ impl Coordinator {
         } else {
             ctx
         };
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let batch_id = s.next_batch;
         s.next_batch += 1;
         span.field("batch", batch_id);
@@ -368,7 +375,7 @@ impl Coordinator {
     /// configured gather deadline passes. Always consumes the batch.
     pub fn gather(&self, batch: u64) -> GatherOutcome {
         let deadline = Instant::now() + self.cfg.gather_deadline;
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let mut span = self.tracer.span(
             "fleet.gather",
             s.batches.get(&batch).map(|b| b.ctx).unwrap_or_default(),
@@ -410,7 +417,11 @@ impl Coordinator {
                 .lease
                 .min(Duration::from_millis(50))
                 .max(Duration::from_millis(5));
-            self.progress.wait_for(&mut s, slice);
+            s = self
+                .progress
+                .wait_timeout(s, slice)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -496,14 +507,14 @@ impl Coordinator {
 
     /// Workers with a current lease.
     pub fn live_workers(&self) -> usize {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         self.reap_dead(&mut s);
         s.workers.values().filter(|w| w.live).count()
     }
 
     /// Snapshot for the metrics endpoint.
     pub fn report(&self) -> FleetReport {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         self.reap_dead(&mut s);
         let workers: Vec<WorkerStats> = s
             .worker_order

@@ -5,8 +5,8 @@
 //! randomized algorithm runs hundreds of times — all embarrassingly parallel
 //! workloads. This crate provides the small set of primitives they share:
 //!
-//! * [`ThreadPool`] — a fixed-size work-sharing pool built on crossbeam
-//!   channels, for long-lived background execution.
+//! * [`ThreadPool`] — a fixed-size work-sharing pool built on a
+//!   `std::sync::mpsc` channel, for long-lived background execution.
 //! * [`parallel_map`] / [`parallel_for_each`] — scoped fork-join over slices
 //!   (no `'static` bound on the closure or data), chunked to amortize spawn
 //!   cost.

@@ -1,14 +1,15 @@
 //! A fixed-size work-sharing thread pool.
 //!
-//! Jobs are boxed closures pushed onto a crossbeam MPMC channel; worker
-//! threads pop and run them. Dropping the pool closes the channel and joins
-//! all workers, so no job submitted before the drop is lost. A [`WaitGroup`]
-//! lets callers block until a batch of submitted jobs has completed without
-//! tearing the pool down.
+//! Jobs are boxed closures pushed onto a `std::sync::mpsc` channel whose
+//! receiver the worker threads share behind a mutex; each worker takes one
+//! job under the lock and runs it after releasing it. Dropping the pool
+//! closes the channel and joins all workers, so no job submitted before the
+//! drop is lost. A [`WaitGroup`] lets callers block until a batch of
+//! submitted jobs has completed without tearing the pool down.
 
-use crossbeam::channel::{unbounded, Sender};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -24,18 +25,14 @@ impl ThreadPool {
     /// Creates a pool with `size` worker threads (at least one).
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
-        let (sender, receiver) = unbounded::<Job>();
+        let (sender, receiver) = channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..size)
             .map(|i| {
-                let rx = receiver.clone();
+                let rx = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("ceal-pool-{i}"))
-                    .spawn(move || {
-                        // The loop ends when every sender is dropped.
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
+                    .spawn(move || worker_loop(&rx))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -73,6 +70,19 @@ impl ThreadPool {
             job();
             drop(token);
         });
+    }
+}
+
+/// Runs jobs until every sender is dropped. The job is taken in its own
+/// statement so the receiver guard drops before the job runs; holding it
+/// across `job()` would serialize the whole pool.
+fn worker_loop(rx: &Mutex<Receiver<Job>>) {
+    loop {
+        let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        match job {
+            Ok(job) => job(),
+            Err(_) => return,
+        }
     }
 }
 
@@ -183,6 +193,34 @@ mod tests {
     #[test]
     fn pool_size_is_at_least_one() {
         assert_eq!(ThreadPool::new(0).size(), 1);
+    }
+
+    #[test]
+    fn jobs_run_concurrently() {
+        // Two jobs that can only finish together: a pool that held the
+        // receiver lock while running a job would leave the second queued
+        // and the first stuck at the barrier.
+        let pool = ThreadPool::new(2);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = channel();
+        for _ in 0..2 {
+            let barrier = Arc::clone(&barrier);
+            let done_tx = done_tx.clone();
+            pool.execute(move || {
+                barrier.wait();
+                let _ = done_tx.send(());
+            });
+        }
+        let both = (0..2).all(|_| {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .is_ok()
+        });
+        if !both {
+            // The job stuck at the barrier would hang the pool's joining drop.
+            std::mem::forget(pool);
+        }
+        assert!(both, "both jobs must run at once");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! acquire ordering, release store on unlock, and `spin_loop` hints while
 //! contended. Intended only for critical sections of a few instructions
 //! (e.g. the simulator's shared statistics counters); anything longer should
-//! use `parking_lot::Mutex`.
+//! use `std::sync::Mutex`.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

@@ -20,11 +20,11 @@
 //! the `Metrics` and `Health` endpoints.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use ceal_core::retry::RetryPolicy;
 use ceal_trace::{TraceContext, Tracer};
-use parking_lot::Mutex;
 
 use crate::wire::protocol::BreakerStatus;
 
@@ -76,7 +76,7 @@ impl CircuitBreaker {
     /// elapsed transitions to half-open and admits the caller as the single
     /// probe; further callers are refused until the probe reports back.
     pub fn allow(&self) -> bool {
-        let mut gate = self.gate.lock();
+        let mut gate = crate::lock(&self.gate);
         match gate.state {
             State::Closed => true,
             State::HalfOpen => false,
@@ -99,7 +99,7 @@ impl CircuitBreaker {
     /// The wrapped call succeeded: close the breaker and reset the failure
     /// streak.
     pub fn record_success(&self) {
-        let mut gate = self.gate.lock();
+        let mut gate = crate::lock(&self.gate);
         let was_broken = gate.state != State::Closed;
         gate.state = State::Closed;
         gate.consecutive = 0;
@@ -117,7 +117,7 @@ impl CircuitBreaker {
     /// The wrapped call failed: extend the streak, and trip to open when a
     /// half-open probe fails or the streak reaches the threshold.
     pub fn record_failure(&self) {
-        let mut gate = self.gate.lock();
+        let mut gate = crate::lock(&self.gate);
         gate.consecutive += 1;
         let trip = match gate.state {
             State::HalfOpen => true,
@@ -148,7 +148,7 @@ impl CircuitBreaker {
 
     /// Snapshot for the `Health` endpoint.
     pub fn status(&self) -> BreakerStatus {
-        let gate = self.gate.lock();
+        let gate = crate::lock(&self.gate);
         let state = match gate.state {
             State::Closed => "closed",
             State::Open(_) => "open",

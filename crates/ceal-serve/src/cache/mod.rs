@@ -29,11 +29,11 @@ pub mod transfer;
 
 use ceal_trace::{TraceContext, Tracer};
 use lru::LruFront;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use shard::ShardStore;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 pub use transfer::{
     bundle_from_json, bundle_to_json, feature_distance, platform_features, platform_fingerprint,
@@ -169,7 +169,7 @@ impl AutotuneCache {
     pub fn len(&self) -> usize {
         match &self.store {
             Some(store) => store.all_entries().len(),
-            None => self.front.lock().len(),
+            None => crate::lock(&self.front).len(),
         }
     }
 
@@ -193,7 +193,7 @@ impl AutotuneCache {
     /// `"front"` (LRU hit), `"disk"` (shard hit, promoted), or `"miss"` —
     /// so callers can attribute the lookup in trace events.
     pub fn get_with_tier(&self, key: &CacheKey) -> (Option<CacheEntry>, &'static str) {
-        if let Some(hit) = self.front.lock().get(key) {
+        if let Some(hit) = crate::lock(&self.front).get(key) {
             self.lru_hits.fetch_add(1, Ordering::Relaxed);
             return (Some(hit), "front");
         }
@@ -206,7 +206,7 @@ impl AutotuneCache {
         });
         match found {
             Some(found) => {
-                self.front.lock().insert(found.clone());
+                crate::lock(&self.front).insert(found.clone());
                 (Some(found), "disk")
             }
             None => (None, "miss"),
@@ -223,7 +223,7 @@ impl AutotuneCache {
     /// fsync-rename-fsync durability the single-blob cache had. Puts to
     /// *different* workflows don't contend at all.
     pub fn put(&self, entry: CacheEntry) -> std::io::Result<()> {
-        self.front.lock().insert(entry.clone());
+        crate::lock(&self.front).insert(entry.clone());
         let Some(store) = &self.store else {
             return Ok(());
         };
@@ -239,7 +239,7 @@ impl AutotuneCache {
     /// while open: a known-bad disk isn't retried per campaign, but the
     /// result still serves from memory for this process's lifetime.
     pub fn put_memory_only(&self, entry: CacheEntry) {
-        self.front.lock().insert(entry);
+        crate::lock(&self.front).insert(entry);
     }
 
     /// Nearest sibling campaign usable as a transfer seed: same workflow
@@ -257,7 +257,7 @@ impl AutotuneCache {
             Some(store) => store.load(&key.workflow),
             None => Vec::new(),
         };
-        let front = self.front.lock();
+        let front = crate::lock(&self.front);
         transfer::nearest(disk.iter().chain(front.iter()), key, features, threshold)
     }
 
@@ -266,7 +266,7 @@ impl AutotuneCache {
     pub fn all_entries(&self) -> Vec<CacheEntry> {
         match &self.store {
             Some(store) => store.all_entries(),
-            None => self.front.lock().iter().cloned().collect(),
+            None => crate::lock(&self.front).iter().cloned().collect(),
         }
     }
 
@@ -297,7 +297,7 @@ impl AutotuneCache {
 
     /// Snapshot of the tier counters.
     pub fn stats(&self) -> CacheStats {
-        let front = self.front.lock();
+        let front = crate::lock(&self.front);
         CacheStats {
             lru_hits: self.lru_hits.load(Ordering::Relaxed),
             lru_misses: self.lru_misses.load(Ordering::Relaxed),

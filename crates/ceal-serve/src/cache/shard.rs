@@ -16,11 +16,10 @@
 //! shard file's, so migration is just "load one shard file, regroup".
 
 use super::CacheEntry;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// On-disk layout of one shard (and of the legacy whole-cache blob).
 #[derive(Serialize, Deserialize)]
@@ -137,7 +136,7 @@ impl ShardStore {
     }
 
     fn shard(&self, workflow: &str) -> Arc<Shard> {
-        let mut shards = self.shards.lock();
+        let mut shards = crate::lock(&self.shards);
         Arc::clone(shards.entry(workflow.to_string()).or_insert_with(|| {
             Arc::new(Shard {
                 path: self.shard_path(workflow),
@@ -163,7 +162,7 @@ impl ShardStore {
         mutate: impl FnOnce(&mut Vec<CacheEntry>),
     ) -> std::io::Result<()> {
         let shard = self.shard(workflow);
-        let mut state = shard.state.lock();
+        let mut state = crate::lock(&shard.state);
         let mut entries = load_entries(&shard.path).unwrap_or_default();
         mutate(&mut entries);
         state.generation += 1;

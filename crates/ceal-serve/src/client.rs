@@ -442,3 +442,39 @@ impl Client {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// The only guard the single wire version has: a peer reporting any
+    /// other version in its `Pong` is refused with a typed error at
+    /// connect, plain and retrying alike.
+    #[test]
+    fn peer_on_another_protocol_version_is_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let old = PROTOCOL_VERSION - 1;
+        let peer = std::thread::spawn(move || {
+            for conn in listener.incoming().take(2) {
+                let mut conn = conn.expect("accept");
+                let req: Request = read_message(&mut conn).expect("ping frame");
+                assert_eq!(req, Request::Ping);
+                write_message(&mut conn, &Response::Pong { version: old }).expect("pong");
+            }
+        });
+        let expected = format!("server speaks protocol v{old}, client v{PROTOCOL_VERSION}");
+        for result in [
+            Client::connect(addr),
+            Client::connect_with_retry(&addr.to_string(), RetryPolicy::no_delay(1)),
+        ] {
+            match result {
+                Err(ClientError::UnexpectedResponse(msg)) => assert_eq!(msg, expected),
+                Err(e) => panic!("expected a version mismatch, got {e}"),
+                Ok(_) => panic!("a v{old} peer must be refused"),
+            }
+        }
+        peer.join().expect("peer thread");
+    }
+}

@@ -17,14 +17,18 @@
 //!   nearest-platform transfer seeding. Exact warm answers spend zero
 //!   oracle measurements; near-miss platforms start from a sibling's
 //!   samples as a prior.
-//! * [`server`] + [`metrics`] — the TCP server (`std::net` + `ceal-par`),
-//!   batched surrogate prediction over `parallel_map`, per-endpoint
-//!   counters and latency histograms, and graceful shutdown that drains
-//!   in-flight work.
-//! * [`reactor`] (Linux, the default serve core) — a readiness-driven
-//!   epoll event loop owning all connections with per-connection framed
-//!   state machines and a timer wheel, so tens of thousands of idle
-//!   sessions cost one fd each instead of a blocked worker thread.
+//! * [`server`] + [`metrics`] — configuration, admission control and
+//!   request dispatch on a `ceal-par` worker pool, batched surrogate
+//!   prediction over `parallel_map`, per-endpoint counters and latency
+//!   histograms, and graceful shutdown that drains in-flight work.
+//! * [`reactor`] — the one serve core (Linux): a readiness-driven epoll
+//!   event loop owning all connections with per-connection framed state
+//!   machines and a timer wheel, so tens of thousands of idle sessions
+//!   cost one fd each instead of a blocked worker thread. On other
+//!   targets [`Server::run`] returns `Unsupported`.
+//!
+//! Client, server and fleet workers ship together, so the protocol has a
+//! single version ([`PROTOCOL_VERSION`]), checked once at connect.
 //!
 //! ```no_run
 //! use ceal_serve::{Client, Server, ServeConfig, TuneParams};
@@ -80,3 +84,25 @@ pub use reactor::sys::{raise_nofile_limit, set_recv_buffer_fd, set_send_buffer_f
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use session::{ServeError, Session, SessionManager};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
+
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+// Every lock in the crate ignores poisoning. `dispatch` contains handler
+// panics with `catch_unwind`; a poisoned session, cache or breaker lock
+// would turn that one contained panic into an `internal` error on every
+// later request that touches the same state.
+
+/// Locks `m`, recovering the guard if a panicking holder poisoned it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks `l`, ignoring poison.
+pub(crate) fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `l`, ignoring poison.
+pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}

@@ -5,8 +5,7 @@
 //! counters hold at that instant. Latencies land in an HDR-style
 //! log2-bucketed histogram ([`ceal_trace::LogHistogram`], ≤3.2 % relative
 //! error) from which the report derives real server-side p50/p99/p999 per
-//! endpoint; the legacy 5-bound coarse buckets stay on the wire, collapsed
-//! from the same histogram.
+//! endpoint.
 
 use crate::cache::CacheStats;
 use crate::protocol::{EndpointStats, MetricsReport};
@@ -14,10 +13,6 @@ use ceal_fleet::FleetReport;
 use ceal_trace::LogHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Legacy coarse-bucket upper bounds, microseconds; the last wire bucket
-/// is unbounded. Kept for pre-v5 readers of the metrics endpoint.
-const BUCKET_BOUNDS_US: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 
 /// Endpoint names, indexed by [`Endpoint`]'s discriminant.
 const ENDPOINT_NAMES: [&str; 14] = [
@@ -145,8 +140,7 @@ impl ServerMetrics {
 
     /// Snapshots every counter into the wire representation. Endpoints
     /// with no traffic are omitted; traffic-bearing endpoints carry HDR
-    /// p50/p99/p999 plus the legacy coarse buckets collapsed from the same
-    /// histogram. The cache and fleet sections are required inputs —
+    /// p50/p99/p999. The cache and fleet sections are required inputs —
     /// callers cannot forget to overlay them and silently report zeros
     /// (pass `&CacheStats::default()` / `FleetReport::default()` when
     /// there genuinely is no cache or fleet).
@@ -167,7 +161,6 @@ impl ServerMetrics {
                 count: c.count.load(Ordering::Relaxed),
                 errors: c.errors.load(Ordering::Relaxed),
                 total_us: c.total_us.load(Ordering::Relaxed),
-                buckets: c.hist.collapse(&BUCKET_BOUNDS_US),
                 p50_us: c.hist.quantile(0.50),
                 p99_us: c.hist.quantile(0.99),
                 p999_us: c.hist.quantile(0.999),
@@ -320,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn record_fills_buckets_and_counts() {
+    fn record_counts_requests_and_errors() {
         let m = ServerMetrics::new();
         m.record(Endpoint::Ping, Duration::from_micros(50), false);
         m.record(Endpoint::Ping, Duration::from_millis(5), true);
@@ -331,7 +324,6 @@ mod tests {
         assert_eq!(ep.name, "ping");
         assert_eq!(ep.count, 3);
         assert_eq!(ep.errors, 1);
-        assert_eq!(ep.buckets, vec![1, 0, 1, 0, 0, 1]);
         assert!(ep.total_us >= 2_005_000);
     }
 
@@ -339,8 +331,7 @@ mod tests {
     fn report_carries_hdr_percentiles() {
         let m = ServerMetrics::new();
         // 50 fast requests and one slow outlier: p50 must sit near the
-        // fast mode, p99/p999 near the outlier — unobservable with the
-        // old 5-bucket histogram.
+        // fast mode, p99/p999 near the outlier.
         for _ in 0..50 {
             m.record(Endpoint::Ping, Duration::from_micros(200), false);
         }

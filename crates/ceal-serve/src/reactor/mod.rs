@@ -16,8 +16,7 @@
 //! A hashed [`TimerWheel`](timer::TimerWheel) gives the loop real
 //! deadlines: mid-frame and mid-write stalls are bounded per connection,
 //! and idle-session eviction runs at a fixed cadence even when no new
-//! connection ever arrives (the blocking path only evicted on accept —
-//! one of the lifecycle bugs this module retires).
+//! connection ever arrives.
 //!
 //! Shutdown needs no self-connection: the `Shutdown` dispatch sets the
 //! flag, its completion wakes the loop, and the reactor closes the
@@ -84,24 +83,15 @@ struct Completions {
 
 impl Completions {
     fn push(&self, c: Completion) {
-        // A poisoned queue means some worker panicked while holding the
-        // lock; the Vec inside is still structurally sound, and dropping
-        // this completion would wedge its connection forever — recover.
-        self.queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(c);
+        // A poisoned queue is still structurally sound, and dropping this
+        // completion would wedge its connection forever.
+        crate::lock(&self.queue).push(c);
         self.notify.wake();
     }
 
     fn drain(&self) -> Vec<Completion> {
         self.notify.drain();
-        std::mem::take(
-            &mut *self
-                .queue
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
+        std::mem::take(&mut *crate::lock(&self.queue))
     }
 }
 
@@ -201,9 +191,8 @@ fn encode_frame(resp: &Response) -> Vec<u8> {
 }
 
 /// Runs one request on the calling worker thread and queues its framed
-/// response. Mirrors the blocking path: JSON decode errors map to one
-/// `bad-request` frame and a close, handler panics are contained to an
-/// `internal` error frame. Latency is recorded when the response write
+/// response. JSON decode errors map to one `bad-request` frame and a
+/// close; handler panics are contained to an `internal` error frame. Latency is recorded when the response write
 /// flushes — from `arrived` (frame completion) to flush — so server-side
 /// percentiles cover queueing, decode, handling, and write-back: the
 /// closest the server can get to what the client observes.
@@ -460,8 +449,7 @@ impl Reactor {
             }
             ReadOutcome::Closed => self.close_conn(index),
             ReadOutcome::Broken(e) => {
-                // One bad-request frame, then close — same answer the
-                // blocking path gives a desynced peer.
+                // One bad-request frame, then close: the peer is desynced.
                 let resp = Response::Error {
                     code: "bad-request".into(),
                     message: e.to_string(),
@@ -591,9 +579,7 @@ impl Reactor {
         }
         for (index, state) in self.conns.snapshot() {
             match state {
-                // Nothing owed to this peer: the blocking path releases
-                // such connections at the next frame-boundary check; the
-                // reactor drops them now.
+                // Nothing owed to this peer: drop it now.
                 ConnState::Reading => self.close_conn(index),
                 // In-flight work drains: the response is computed and
                 // flushed, then the connection closes.

@@ -14,8 +14,9 @@
 //! of the most promising unmeasured pool configurations until the budget
 //! is spent; *Done* exposes the final surrogate for batched prediction.
 //!
-//! Sessions live in a [`SessionManager`] registry guarded by `parking_lot`
-//! locks, carry per-session IDs, and are evicted after an idle timeout.
+//! Sessions live in a [`SessionManager`] registry guarded by `std::sync`
+//! locks that ignore poisoning, carry per-session IDs, and are evicted
+//! after an idle timeout.
 
 use crate::breaker::Breakers;
 use crate::cache::{
@@ -33,13 +34,12 @@ use ceal_core::{
 use ceal_ml::{Dataset, Regressor};
 use ceal_sim::{Objective, Platform, Simulator, WorkflowSpec};
 use ceal_trace::{Span, TraceContext, Tracer};
-use parking_lot::{Mutex, RwLock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Base seed of every server-side oracle — matches the `tune` CLI so a
@@ -1112,9 +1112,7 @@ impl SessionManager {
             match self.rebuild_one(&entry.path(), id) {
                 Ok(session) => {
                     self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                    self.sessions
-                        .write()
-                        .insert(id, Arc::new(Mutex::new(session)));
+                    crate::write(&self.sessions).insert(id, Arc::new(Mutex::new(session)));
                     metrics.sessions_rebuilt.fetch_add(1, Ordering::Relaxed);
                     rebuilt += 1;
                 }
@@ -1169,7 +1167,7 @@ impl SessionManager {
 
     /// Live session count.
     pub fn len(&self) -> usize {
-        self.sessions.read().len()
+        crate::read(&self.sessions).len()
     }
 
     /// Whether no sessions are live.
@@ -1283,34 +1281,28 @@ impl SessionManager {
             }
         }
         let status = session.status();
-        self.sessions
-            .write()
-            .insert(id, Arc::new(Mutex::new(session)));
+        crate::write(&self.sessions).insert(id, Arc::new(Mutex::new(session)));
         metrics.sessions_created.fetch_add(1, Ordering::Relaxed);
         Ok((status, from_cache))
     }
 
     /// Fetches a session, refreshing its idle clock.
     pub fn get(&self, id: u64) -> Result<Arc<Mutex<Session>>, ServeError> {
-        let handle = self
-            .sessions
-            .read()
+        let handle = crate::read(&self.sessions)
             .get(&id)
             .cloned()
             .ok_or(ServeError::UnknownSession(id))?;
-        handle.lock().touch();
+        crate::lock(&handle).touch();
         Ok(handle)
     }
 
     /// Closes a session, deleting its journal — an explicit close is the
     /// client saying the campaign no longer needs recovering.
     pub fn close(&self, id: u64) -> Result<(), ServeError> {
-        let handle = self
-            .sessions
-            .write()
+        let handle = crate::write(&self.sessions)
             .remove(&id)
             .ok_or(ServeError::UnknownSession(id))?;
-        handle.lock().delete_journal();
+        crate::lock(&handle).delete_journal();
         Ok(())
     }
 
@@ -1318,12 +1310,15 @@ impl SessionManager {
     /// Eviction keeps journals on disk: an evicted campaign is still
     /// recoverable at the next server start, unlike a closed one.
     pub fn evict_idle(&self, metrics: &ServerMetrics) -> usize {
-        let mut sessions = self.sessions.write();
+        let mut sessions = crate::write(&self.sessions);
         let before = sessions.len();
         sessions.retain(|_, s| match s.try_lock() {
             // A locked session is in use — by definition not idle.
-            None => true,
-            Some(guard) => guard.last_touch.elapsed() <= self.idle_timeout,
+            Err(TryLockError::WouldBlock) => true,
+            Ok(guard) => guard.last_touch.elapsed() <= self.idle_timeout,
+            Err(TryLockError::Poisoned(p)) => {
+                p.into_inner().last_touch.elapsed() <= self.idle_timeout
+            }
         });
         let evicted = before - sessions.len();
         metrics
@@ -1370,7 +1365,7 @@ mod tests {
         assert!(!from_cache);
         assert_eq!(status.state, "created");
         let handle = mgr.get(status.session).unwrap();
-        let mut s = handle.lock();
+        let mut s = handle.lock().unwrap();
         let st = s.advance(4, &cache, &metrics).unwrap();
         assert_eq!(st.state, "collecting-history");
         assert_eq!(st.budget_left, 8);
@@ -1395,7 +1390,7 @@ mod tests {
         let (st, _) = mgr.create(params(6), 0.0, 0, &cache, &metrics).unwrap();
         let handle = mgr.get(st.session).unwrap();
         {
-            let mut s = handle.lock();
+            let mut s = handle.lock().unwrap();
             let mut st = s.advance(6, &cache, &metrics).unwrap();
             while st.state != "done" {
                 st = s.advance(6, &cache, &metrics).unwrap();
@@ -1416,6 +1411,7 @@ mod tests {
         let handle = mgr.get(warm.session).unwrap();
         let preds = handle
             .lock()
+            .unwrap()
             .predict(&[warm.best.clone().unwrap()])
             .unwrap();
         assert_eq!(preds.len(), 1);
@@ -1426,7 +1422,7 @@ mod tests {
         let (mgr, cache, metrics) = ctx();
         let (st, _) = mgr.create(params(6), 0.45, 17, &cache, &metrics).unwrap();
         let handle = mgr.get(st.session).unwrap();
-        let mut s = handle.lock();
+        let mut s = handle.lock().unwrap();
         let mut failures = 0u32;
         let mut state = s.advance(6, &cache, &metrics).unwrap().state;
         for _ in 0..200 {
@@ -1448,7 +1444,7 @@ mod tests {
         let (mgr, cache, metrics) = ctx();
         let (st, _) = mgr.create(params(4), 0.0, 0, &cache, &metrics).unwrap();
         let handle = mgr.get(st.session).unwrap();
-        let mut s = handle.lock();
+        let mut s = handle.lock().unwrap();
         let err = s.measure(&[1085, 1, 1, 1085, 1, 1], &metrics).unwrap_err();
         assert_eq!(err.code(), "infeasible");
         let err = s.measure(&[1, 2, 3], &metrics).unwrap_err();
@@ -1462,7 +1458,7 @@ mod tests {
         let (mgr, cache, metrics) = ctx();
         let (st, _) = mgr.create(params(4), 0.0, 0, &cache, &metrics).unwrap();
         let handle = mgr.get(st.session).unwrap();
-        let mut s = handle.lock();
+        let mut s = handle.lock().unwrap();
         let err = s.push_history(vec![vec![]]).unwrap_err();
         assert_eq!(err.code(), "history-mismatch");
         let ok = s

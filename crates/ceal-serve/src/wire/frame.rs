@@ -5,7 +5,6 @@
 //! reader trivial (no streaming JSON parser needed) and lets the server
 //! reject oversized payloads before allocating for them.
 
-use bytes::{Buf, BufMut, Bytes};
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
@@ -15,7 +14,8 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// A peer that starts a frame and then sends nothing for this long is
 /// treated as gone: waiting out mid-frame timeouts forever would let one
-/// stalled (or hostile) connection pin a worker indefinitely.
+/// stalled (or hostile) peer hold its connection, or a blocked client,
+/// indefinitely.
 pub const MAX_MID_FRAME_STALL: Duration = Duration::from_secs(30);
 
 /// Why a frame could not be read or written.
@@ -69,8 +69,8 @@ pub fn write_frame_limited(
         return Err(FrameError::TooLarge(payload.len()));
     }
     let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
+    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    buf.extend_from_slice(payload);
     write_all_limited(w, &buf, stall_limit)?;
     w.flush()?;
     Ok(())
@@ -121,12 +121,6 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Whether a [`FrameError`] is a read timeout at a frame boundary — the
-/// connection is idle, not broken, and the caller may simply retry.
-pub fn is_idle_timeout(e: &FrameError) -> bool {
-    matches!(e, FrameError::Io(io) if is_timeout(io))
-}
-
 fn read_full(r: &mut impl Read, buf: &mut [u8], filled: usize) -> std::io::Result<()> {
     read_full_limited(r, buf, filled, MAX_MID_FRAME_STALL)
 }
@@ -173,9 +167,9 @@ fn read_full_limited(
 ///
 /// Returns [`FrameError::Closed`] on EOF at a frame boundary (the peer
 /// hung up cleanly); EOF mid-frame is an I/O error. A read timeout at a
-/// frame boundary surfaces as an I/O error matched by [`is_idle_timeout`];
-/// timeouts mid-frame are waited out instead.
-pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
+/// frame boundary surfaces as [`FrameError::Io`]; timeouts mid-frame are
+/// waited out instead.
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; 4];
     match r.read(&mut header) {
         Ok(0) => return Err(FrameError::Closed),
@@ -183,13 +177,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => read_full(r, &mut header, 0)?,
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let len = Bytes::copy_from_slice(&header).get_u32() as usize;
+    let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(len));
     }
     let mut payload = vec![0u8; len];
     read_full(r, &mut payload, 0)?;
-    Ok(Bytes::from(payload))
+    Ok(payload)
 }
 
 /// Serializes `msg` as JSON and writes it as one frame.
@@ -210,7 +204,7 @@ pub fn write_message_limited<T: serde::Serialize>(
 /// Reads one frame and deserializes its JSON payload.
 pub fn read_message<T: serde::Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
     let payload = read_frame(r)?;
-    serde_json::from_slice(payload.as_ref()).map_err(|e| FrameError::Decode(e.to_string()))
+    serde_json::from_slice(&payload).map_err(|e| FrameError::Decode(e.to_string()))
 }
 
 #[cfg(test)]
@@ -225,7 +219,7 @@ mod tests {
         assert_eq!(&buf[..4], &[0, 0, 0, 5]);
         let mut cursor = std::io::Cursor::new(buf);
         let got = read_frame(&mut cursor).unwrap();
-        assert_eq!(got.as_ref(), b"hello");
+        assert_eq!(got, b"hello");
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
     }
 
@@ -240,8 +234,7 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
-        let mut buf = Vec::new();
-        bytes::BufMut::put_u32(&mut buf, (MAX_FRAME_LEN + 1) as u32);
+        let mut buf = ((MAX_FRAME_LEN + 1) as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(&[0; 8]);
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(

@@ -230,7 +230,7 @@ fn run_campaign(
         .expect("create");
     assert_eq!(st.warm_source, expect_source);
     let handle = mgr.get(st.session).expect("session");
-    let mut session = handle.lock();
+    let mut session = handle.lock().unwrap();
     while st.state != "done" {
         st = session.advance(4, cache, &metrics).expect("advance");
     }

@@ -115,6 +115,13 @@ fn worker_and_coordinator_crashes_cause_no_duplicate_charges() {
         Some("internal"),
         "crash surfaces as one error frame"
     );
+    // The panic unwound through the held session lock. Locks ignore
+    // poisoning, so the same session still answers and new campaigns still
+    // start; the fresh one is closed so the restart below rebuilds only
+    // the crashed session.
+    assert_eq!(c.status(session).unwrap().session, session);
+    let (fresh, _) = c.create_session(params(), 0.0, 0).unwrap();
+    c.close_session(fresh.session).unwrap();
 
     stop.store(true, Ordering::Release);
     let _ = w1.join();

@@ -44,7 +44,11 @@ fn drive_to_done(
 ) -> SessionStatus {
     for _ in 0..100 {
         let handle = mgr.get(id).expect("session exists");
-        let status = handle.lock().advance(4, cache, metrics).expect("advance");
+        let status = handle
+            .lock()
+            .unwrap()
+            .advance(4, cache, metrics)
+            .expect("advance");
         if status.state == "done" {
             return status;
         }
@@ -78,7 +82,11 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
             .expect("create");
         let handle = mgr.get(st.session).expect("session");
         for _ in 0..3 {
-            let status = handle.lock().advance(4, &cache, &metrics).expect("advance");
+            let status = handle
+                .lock()
+                .unwrap()
+                .advance(4, &cache, &metrics)
+                .expect("advance");
             assert_ne!(status.state, "done", "reference must stop short of done");
         }
         drop(handle);
@@ -104,9 +112,14 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
         .expect("create");
     let id = st.session;
     let handle = mgr.get(id).expect("session");
-    handle.lock().advance(4, &cache, &metrics).expect("history");
+    handle
+        .lock()
+        .unwrap()
+        .advance(4, &cache, &metrics)
+        .expect("history");
     let mid = handle
         .lock()
+        .unwrap()
         .advance(4, &cache, &metrics)
         .expect("bootstrap");
     assert_ne!(mid.state, "done");
@@ -114,7 +127,7 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
 
     chaos::arm_after("journal.mid_write", 2);
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        handle.lock().advance(4, &cache, &metrics)
+        handle.lock().unwrap().advance(4, &cache, &metrics)
     }));
     chaos::disarm_all();
     let payload = crashed.expect_err("the armed crash point must fire");
@@ -165,7 +178,12 @@ fn session_killed_mid_journal_write_rebuilds_and_spends_only_the_lost_budget() {
         0,
         "rebuilding must not touch the oracle"
     );
-    let rebuilt = mgr2.get(id).expect("rebuilt session").lock().status();
+    let rebuilt = mgr2
+        .get(id)
+        .expect("rebuilt session")
+        .lock()
+        .unwrap()
+        .status();
     assert_eq!(rebuilt.measured, committed);
     assert_eq!(rebuilt.budget_left, BUDGET - committed);
     assert_eq!(rebuilt.history_samples, mid.history_samples);

@@ -6,9 +6,12 @@
 //!    a newer one and silently drop a committed entry.
 //! 2. The shutdown wakeup self-connected to the *bind* address, which for
 //!    wildcard binds (`0.0.0.0`/`::`) targets the wildcard — non-portable
-//!    and listen-only on some platforms.
+//!    and listen-only on some platforms. (The reactor needs no wakeup
+//!    connection; the test keeps a wildcard bind shutting down cleanly.)
 //! 3. Response writes had no stall deadline: a peer that stopped reading
-//!    after the kernel send buffer filled pinned a worker forever.
+//!    after the kernel send buffer filled pinned a worker forever. (The
+//!    reactor never blocks a worker on a write; the test keeps the stalled
+//!    connection from delaying anyone else past the deadline.)
 //! 4. `evict_idle` only ran from the accept loop, so with no fresh
 //!    connections arriving, expired sessions were never evicted and
 //!    `active_sessions` lied.
@@ -129,7 +132,7 @@ fn simultaneous_finishes_across_workflows_leave_one_valid_shard_each() {
                         .expect("create");
                     assert!(!from_cache);
                     let handle = mgr.get(st.session).expect("session");
-                    let mut session = handle.lock();
+                    let mut session = handle.lock().unwrap();
                     while st.state != "done" {
                         st = session.advance(4, &cache, &metrics).expect("advance");
                     }
@@ -163,35 +166,28 @@ fn simultaneous_finishes_across_workflows_leave_one_valid_shard_each() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bug 2: a wildcard-bound server must shut down cleanly — the wakeup
-/// connection has to target loopback, not the (listen-only) wildcard.
-/// Covers both serve cores; the reactor needs no wakeup connection at
-/// all, the blocking path uses the fixed address.
+/// Bug 2: a wildcard-bound server must shut down cleanly.
 #[test]
 fn wildcard_bind_shutdown_round_trip() {
-    for event_loop in [true, false] {
-        let server = Server::bind(ServeConfig {
-            addr: "0.0.0.0:0".into(),
-            workers: 2,
-            event_loop,
-            ..ServeConfig::default()
-        })
-        .expect("bind wildcard");
-        let port = server.local_addr().port();
-        let handle = server.spawn();
-        let mut client = Client::connect(("127.0.0.1", port)).expect("connect via loopback");
-        client.ping().expect("ping");
-        client.shutdown().expect("shutdown");
-        // The serve loop must actually exit — a wakeup aimed at the
-        // wildcard would leave the accept loop blocked forever.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(handle.join());
-        });
-        rx.recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("serve loop (event_loop={event_loop}) never exited"))
-            .expect("serve loop failed");
-    }
+    let server = Server::bind(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind wildcard");
+    let port = server.local_addr().port();
+    let handle = server.spawn();
+    let mut client = Client::connect(("127.0.0.1", port)).expect("connect via loopback");
+    client.ping().expect("ping");
+    client.shutdown().expect("shutdown");
+    // The serve loop must actually exit.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.join());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("serve loop never exited")
+        .expect("serve loop failed");
 }
 
 /// Bug 3: a peer that stops reading must not hold a worker past the
@@ -209,10 +205,6 @@ fn slow_reader_cannot_pin_a_worker_past_the_write_deadline() {
 
     let handle = Server::bind(ServeConfig {
         workers: 1,
-        // Blocking path: the bug lived in the worker's write_all. (The
-        // reactor never blocks workers on writes by construction; its
-        // stall deadline is covered by the torture test.)
-        event_loop: false,
         stall_deadline: Duration::from_millis(400),
         send_buffer: Some(4096),
         ..ServeConfig::default()
@@ -280,9 +272,9 @@ fn slow_reader_cannot_pin_a_worker_past_the_write_deadline() {
     }
     assert!(jammed, "flood never filled the server's send buffer");
 
-    // The single worker must come back within the stall deadline and
-    // serve the next connection. Pre-fix it is pinned in write_all
-    // forever and this read times out.
+    // The single worker must serve the next connection within the stall
+    // deadline. Pre-fix it was pinned in write_all forever and this read
+    // timed out.
     let t = Instant::now();
     let mut probe = TcpStream::connect(addr).expect("probe connect");
     probe
@@ -309,37 +301,31 @@ fn slow_reader_cannot_pin_a_worker_past_the_write_deadline() {
 /// connection sees the idle session gone.
 #[test]
 fn idle_sessions_evicted_with_zero_incoming_connections() {
-    for event_loop in [true, false] {
-        let handle = Server::bind(ServeConfig {
-            workers: 2,
-            idle_timeout: Duration::from_millis(300),
-            event_loop,
-            ..ServeConfig::default()
-        })
-        .expect("bind")
-        .spawn();
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        client
-            .create_session(lv_params(5), 0.0, 0)
-            .expect("create session");
-        let m = client.metrics().expect("metrics");
-        assert_eq!(
-            m.active_sessions, 1,
-            "session live (event_loop={event_loop})"
-        );
+    let handle = Server::bind(ServeConfig {
+        workers: 2,
+        idle_timeout: Duration::from_millis(300),
+        ..ServeConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .create_session(lv_params(5), 0.0, 0)
+        .expect("create session");
+    let m = client.metrics().expect("metrics");
+    assert_eq!(m.active_sessions, 1, "session live");
 
-        // Nobody connects; nobody touches the session. Eviction has to
-        // fire from the timer alone.
-        std::thread::sleep(Duration::from_millis(1200));
+    // Nobody connects; nobody touches the session. Eviction has to fire
+    // from the timer alone.
+    std::thread::sleep(Duration::from_millis(1200));
 
-        let m = client.metrics().expect("metrics after idle");
-        assert_eq!(
-            m.active_sessions, 0,
-            "idle session not evicted without new connections (event_loop={event_loop})"
-        );
-        assert!(m.sessions_evicted >= 1);
+    let m = client.metrics().expect("metrics after idle");
+    assert_eq!(
+        m.active_sessions, 0,
+        "idle session not evicted without new connections"
+    );
+    assert!(m.sessions_evicted >= 1);
 
-        client.shutdown().expect("shutdown");
-        handle.join().expect("drain");
-    }
+    client.shutdown().expect("shutdown");
+    handle.join().expect("drain");
 }

@@ -3,27 +3,21 @@
 //! hang a worker. The server answers with one `bad-request` error frame
 //! (when it still can) and closes; it keeps serving everyone else.
 //!
-//! The corpus (shared with the reactor torture test) runs against both
-//! serve cores: the default (the epoll reactor on Linux) and the blocking
-//! thread-per-connection fallback.
+//! The corpus is shared with the reactor torture test.
 
 mod hostile;
 
-use ceal_serve::{Client, ServeConfig, Server, ServerHandle};
+use ceal_serve::{Client, ServeConfig, Server};
 use hostile::{corpus, poke};
 
-fn start_server(event_loop: bool) -> ServerHandle {
+#[test]
+fn malformed_frames_never_hang_or_panic_the_server() {
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        event_loop,
         ..ServeConfig::default()
     };
-    Server::bind(config).expect("bind loopback").spawn()
-}
-
-fn run_corpus(event_loop: bool) {
-    let handle = start_server(event_loop);
+    let handle = Server::bind(config).expect("bind loopback").spawn();
     let addr = handle.addr();
 
     for case in corpus() {
@@ -43,14 +37,4 @@ fn run_corpus(event_loop: bool) {
     let mut client = Client::connect(addr).expect("connect");
     client.shutdown().expect("shutdown");
     handle.join().expect("workers all exit cleanly");
-}
-
-#[test]
-fn malformed_frames_never_hang_or_panic_the_server() {
-    run_corpus(true); // the default core (reactor on Linux)
-}
-
-#[test]
-fn malformed_frames_never_hang_or_panic_the_blocking_path() {
-    run_corpus(false);
 }

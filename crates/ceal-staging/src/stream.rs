@@ -8,10 +8,9 @@
 //! end-of-stream; dropping the reader unblocks the writer with an error.
 
 use crate::var::Variable;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One published step.
@@ -84,6 +83,14 @@ struct Shared {
     data: Condvar,
     stats: StreamStats,
     name: String,
+}
+
+impl Shared {
+    /// The queue lock, ignoring poison: a panicking peer cannot leave the
+    /// queue half-updated, and the survivor must still see close flags.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Producer endpoint of a stream.
@@ -160,7 +167,7 @@ impl Writer {
         };
         let bytes = step.nbytes();
         let start = Instant::now();
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         loop {
             if inner.reader_closed {
                 return Err(step.variables);
@@ -171,7 +178,11 @@ impl Writer {
             if fits_steps && fits_bytes {
                 break;
             }
-            self.shared.space.wait(&mut inner);
+            inner = self
+                .shared
+                .space
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         let blocked = start.elapsed();
         inner.queued_bytes += bytes;
@@ -209,7 +220,7 @@ impl Writer {
 
 impl Drop for Writer {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         inner.writer_closed = true;
         drop(inner);
         self.shared.data.notify_all();
@@ -221,7 +232,7 @@ impl Reader {
     /// `Err(Closed)` when the writer has closed and the queue is drained.
     pub fn next_step(&self) -> Result<StepData, RecvError> {
         let start = Instant::now();
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         loop {
             if let Some(step) = inner.queue.pop_front() {
                 inner.queued_bytes -= step.nbytes();
@@ -237,7 +248,11 @@ impl Reader {
             if inner.writer_closed {
                 return Err(RecvError::Closed);
             }
-            self.shared.data.wait(&mut inner);
+            inner = self
+                .shared
+                .data
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -259,7 +274,7 @@ impl Reader {
 
 impl Drop for Reader {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.lock();
         inner.reader_closed = true;
         drop(inner);
         self.shared.space.notify_all();

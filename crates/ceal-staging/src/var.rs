@@ -1,6 +1,6 @@
 //! Named, typed, shaped variables — the unit of staging I/O.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Element type of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct Variable {
     /// equal `data.len()`.
     pub shape: Vec<usize>,
     /// The payload (cheaply cloneable).
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 impl Variable {
@@ -56,7 +56,7 @@ impl Variable {
             name: name.into(),
             dtype: Dtype::F64,
             shape,
-            data: Bytes::from(buf),
+            data: buf.into(),
         }
     }
 
@@ -67,7 +67,7 @@ impl Variable {
             name: name.into(),
             dtype: Dtype::U8,
             shape,
-            data: Bytes::from(data),
+            data: data.into(),
         }
     }
 
