@@ -18,6 +18,7 @@ use crate::metrics::top_n;
 use crate::oracle::{MeasureError, Oracle};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// The GEIST tuner.
 #[derive(Debug, Clone, Copy)]
@@ -47,28 +48,63 @@ impl Default for Geist {
     }
 }
 
-/// Builds the k-NN adjacency lists over pool configurations.
+/// Rows per parallel chunk of [`knn_graph`]; each chunk reuses one
+/// distance buffer across its rows.
+const GRAPH_BLOCK_ROWS: usize = 64;
+
+/// Builds the k-NN adjacency lists over pool configurations: for each node,
+/// its `k` nearest other nodes by squared Euclidean distance in encoded
+/// space, nearest first, equal distances in index order.
 fn knn_graph(fm: &FeatureMap, pool: &[Vec<i64>], k: usize) -> Vec<Vec<u32>> {
-    let encoded: Vec<Vec<f64>> = pool.iter().map(|c| fm.encode(c)).collect();
-    let idx: Vec<usize> = (0..pool.len()).collect();
-    ceal_par::parallel_map(&idx, |&i| {
-        let mut dists: Vec<(u32, f64)> = encoded
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(j, row)| {
-                let d: f64 = row
-                    .iter()
-                    .zip(&encoded[i])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
-                (j as u32, d)
-            })
-            .collect();
-        dists.sort_by(|a, b| a.1.total_cmp(&b.1));
-        dists.truncate(k);
-        dists.into_iter().map(|(j, _)| j).collect()
+    let n = pool.len();
+    // Column-major encoding: feature `f` of configuration `j` at `f * n + j`.
+    let mut cols = vec![0.0; fm.n_features() * n];
+    for (j, config) in pool.iter().enumerate() {
+        for (f, v) in fm.encode(config).into_iter().enumerate() {
+            cols[f * n + j] = v;
+        }
+    }
+    let blocks: Vec<(usize, usize)> = (0..n)
+        .step_by(GRAPH_BLOCK_ROWS)
+        .map(|s| (s, (s + GRAPH_BLOCK_ROWS).min(n)))
+        .collect();
+    ceal_par::parallel_map(&blocks, |&(s, e)| knn_rows(&cols, n, s..e, k)).concat()
+}
+
+/// Adjacency lists of `rows`. Each row's distances to all `n` nodes build
+/// up feature by feature in one buffer, so the inner loop runs across
+/// nodes (and vectorizes) while every distance still sums its features in
+/// order. A bounded sorted top-k then keeps what a stable sort by distance
+/// would: a candidate must beat the current worst strictly, and inserts
+/// after its equals, so ties go to the lower index.
+fn knn_rows(cols: &[f64], n: usize, rows: Range<usize>, k: usize) -> Vec<Vec<u32>> {
+    let mut dist = vec![0.0; n];
+    let mut best: Vec<(f64, u32)> = Vec::with_capacity(k.min(n));
+    rows.map(|i| {
+        dist.fill(0.0);
+        for col in cols.chunks_exact(n) {
+            let xi = col[i];
+            for (d, &xj) in dist.iter_mut().zip(col) {
+                *d += (xj - xi) * (xj - xi);
+            }
+        }
+        best.clear();
+        for (j, &d) in dist.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            if best.len() == k {
+                match best.last() {
+                    Some(&(worst, _)) if d.total_cmp(&worst).is_lt() => best.pop(),
+                    _ => continue,
+                };
+            }
+            let at = best.partition_point(|&(b, _)| b.total_cmp(&d).is_le());
+            best.insert(at, (d, j as u32));
+        }
+        best.iter().map(|&(_, j)| j).collect()
     })
+    .collect()
 }
 
 impl Geist {
@@ -185,6 +221,83 @@ mod tests {
         let a = Geist::default().run(&fix.oracle, &fix.pool, 20, 5);
         let b = Geist::default().run(&fix.oracle, &fix.pool, 20, 5);
         assert_eq!(a.best_predicted, b.best_predicted);
+    }
+
+    /// The sort-based builder `knn_graph` replaced: all distances per row,
+    /// stably sorted, truncated to `k`.
+    fn knn_graph_sorted(fm: &FeatureMap, pool: &[Vec<i64>], k: usize) -> Vec<Vec<u32>> {
+        let encoded: Vec<Vec<f64>> = pool.iter().map(|c| fm.encode(c)).collect();
+        (0..pool.len())
+            .map(|i| {
+                let mut dists: Vec<(u32, f64)> = encoded
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(j, row)| {
+                        let d: f64 = row
+                            .iter()
+                            .zip(&encoded[i])
+                            .map(|(a, b)| (a - b) * (a - b))
+                            .sum();
+                        (j as u32, d)
+                    })
+                    .collect();
+                dists.sort_by(|a, b| a.1.total_cmp(&b.1));
+                dists.truncate(k);
+                dists.into_iter().map(|(j, _)| j).collect()
+            })
+            .collect()
+    }
+
+    fn assert_same_graph(fm: &FeatureMap, pool: &[Vec<i64>], k: usize) {
+        let want = knn_graph_sorted(fm, pool, k);
+        assert_eq!(knn_graph(fm, pool, k), want, "n = {}, k = {k}", pool.len());
+    }
+
+    #[test]
+    fn knn_graph_matches_sorted_builder() {
+        let fix = lv_exec_fixture();
+        let fm = FeatureMap::for_workflow(fix.oracle.spec());
+        assert_same_graph(&fm, &fix.pool, 8);
+    }
+
+    #[test]
+    fn knn_graph_ties_go_to_the_lower_index() {
+        let fix = lv_exec_fixture();
+        let fm = FeatureMap::for_workflow(fix.oracle.spec());
+        let base = &fix.pool[0];
+        let mut pool: Vec<Vec<i64>> = fix.pool[..40].to_vec();
+        // Duplicates: ties at distance 0, some before and some after the
+        // original in index order.
+        pool.extend(fix.pool[..10].iter().cloned());
+        pool.insert(5, base.clone());
+        // Equidistant neighbours of `base`: one step up and one step down
+        // in each parameter.
+        for p in 0..base.len() {
+            for step in [1, -1] {
+                let mut c = base.clone();
+                c[p] += step;
+                pool.push(c);
+            }
+        }
+        pool.push(base.clone());
+        for k in [1, 3, 8, 20] {
+            assert_same_graph(&fm, &pool, k);
+        }
+    }
+
+    #[test]
+    fn knn_graph_edge_cases() {
+        let fix = lv_exec_fixture();
+        let fm = FeatureMap::for_workflow(fix.oracle.spec());
+        let pool = &fix.pool[..12];
+        assert_same_graph(&fm, pool, 0);
+        assert!(knn_graph(&fm, pool, 0).iter().all(Vec::is_empty));
+        assert_same_graph(&fm, pool, 11);
+        assert_same_graph(&fm, pool, 50);
+        assert_same_graph(&fm, &fix.pool[..1], 8);
+        assert_eq!(knn_graph(&fm, &fix.pool[..1], 8), vec![Vec::<u32>::new()]);
+        assert!(knn_graph(&fm, &[], 8).is_empty());
     }
 
     #[test]

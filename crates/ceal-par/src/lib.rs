@@ -9,7 +9,9 @@
 //!   `std::sync::mpsc` channel, for long-lived background execution.
 //! * [`parallel_map`] / [`parallel_for_each`] — scoped fork-join over slices
 //!   (no `'static` bound on the closure or data), chunked to amortize spawn
-//!   cost.
+//!   cost. A call nested inside another's chunk uses at most that chunk's
+//!   share of the threads, and runs inline when the share is one, so a
+//!   fan-out over campaigns does not spawn threads inside its threads.
 //! * [`SpinLock`] — a minimal test-and-set spin lock used where critical
 //!   sections are a few instructions long (following *Rust Atomics and
 //!   Locks*, ch. 4).
